@@ -6,6 +6,14 @@ exactly once — Theorem 3).  A candidate is pruned without evaluation when
 any of its parents was uncovered or itself pruned; an evaluated candidate
 with ``cov < τ`` is a MUP (all its parents are covered by construction).
 
+The frontier is array-native (:mod:`repro.core.lattice`): one ``int16``
+row per candidate plus its exact mixed-radix key.  Rule 1 children come
+from a ``np.repeat`` of the covered rows with one value written per
+child, and the parent prune is one membership test of every candidate's
+parent keys against the previous level's covered keys.  ``Pattern``
+objects are built only for the MUPs returned (and, in the ``use_masks``
+ablation, for the candidates counted).
+
 Coverage is evaluated incrementally and in batch: each frontier node
 carries its match mask over the unique value combinations, a whole level's
 surviving candidates are counted with one ``coverage_of_masks`` pass, and
@@ -15,14 +23,16 @@ time through the engine's vectorized ``restrict_children`` (Appendix A).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
+
+import numpy as np
 
 from repro._util import SearchStats, Stopwatch
 from repro.core.coverage import CoverageOracle
 from repro.core.engine import EngineSpec
 from repro.core.engine.base import Mask
+from repro.core.lattice import Lattice
 from repro.core.mups.base import MupResult, register_algorithm
-from repro.core.pattern import Pattern, X
 from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset
 
@@ -49,68 +59,54 @@ def pattern_breaker(
         use_masks: thread parent match-masks down the tree (Appendix A
             optimization); disable only for the ablation benchmark.
     """
-    space = PatternSpace.for_dataset(dataset)
+    lattice = Lattice(PatternSpace.for_dataset(dataset).cardinalities)
     oracle = oracle or CoverageOracle(dataset, engine=engine)
     stats = SearchStats()
     watch = Stopwatch()
-    depth = space.d if max_level is None else min(max_level, space.d)
+    depth = lattice.d if max_level is None else min(max_level, lattice.d)
 
-    root = space.root()
     mups = []
-    # Frontier entries: pattern -> match mask (or None when masks are off).
-    frontier: Dict[Pattern, Optional[Mask]] = {
-        root: oracle.full_mask() if use_masks else None
-    }
-    covered_prev: set = set()
+    frontier = lattice.root()
+    # Match masks aligned with the frontier rows (unused when masks are off).
+    masks: List[Mask] = [oracle.full_mask()] if use_masks else []
+    covered_keys = frontier.keys[:0]
 
     for level in range(0, depth + 1):
-        if not frontier:
+        if not len(frontier):
             break
         # Prune candidates whose parents were uncovered or pruned, then
         # evaluate the whole surviving frontier in one batched pass.
-        survivors: List[Tuple[Pattern, Optional[Mask]]] = []
-        for pattern, mask in frontier.items():
-            stats.nodes_generated += 1
-            if level > 0:
-                pruned = False
-                for parent in pattern.parents():
-                    if parent not in covered_prev:
-                        pruned = True
-                        break
-                if pruned:
-                    stats.pruned += 1
-                    continue
-            survivors.append((pattern, mask))
+        stats.nodes_generated += len(frontier)
+        if level > 0:
+            survivors = np.flatnonzero(
+                lattice.parents_within(frontier, covered_keys)
+            )
+            stats.pruned += len(frontier) - len(survivors)
+            frontier = frontier.take(survivors)
+            if use_masks:
+                masks = [masks[i] for i in survivors.tolist()]
         if use_masks:
-            counts = oracle.coverage_of_masks([mask for _, mask in survivors])
+            counts = oracle.coverage_of_masks(masks)
         else:
-            counts = oracle.coverage_many([pattern for pattern, _ in survivors])
-        stats.coverage_evaluations += len(survivors)
+            counts = oracle.coverage_many(lattice.patterns(frontier.rows))
+        stats.coverage_evaluations += len(frontier)
 
-        covered_here: set = set()
-        next_frontier: Dict[Pattern, Optional[Mask]] = {}
-        for (pattern, mask), count in zip(survivors, counts):
-            if count < threshold:
-                # Every parent is covered (the prune above guarantees it),
-                # so an uncovered candidate here is maximal by definition.
-                mups.append(pattern)
-                continue
-            covered_here.add(pattern)
-            if level == depth:
-                continue
-            start = pattern.rightmost_deterministic() + 1
-            for index in range(start, space.d):
-                if pattern[index] != X:
-                    continue
-                if use_masks:
-                    family = oracle.restrict_children(mask, index)
-                else:
-                    family = [None] * space.cardinalities[index]
-                for value, child_mask in enumerate(family):
-                    child = pattern.with_value(index, value)
-                    next_frontier[child] = child_mask
-        covered_prev = covered_here
-        frontier = next_frontier
+        covered = np.asarray(counts) >= threshold
+        # Every parent is covered (the prune above guarantees it), so an
+        # uncovered candidate here is maximal by definition.
+        mups.extend(lattice.patterns(frontier.rows[~covered]))
+        kept = np.flatnonzero(covered)
+        frontier = frontier.take(kept)
+        covered_keys = frontier.keys
+        if level == depth:
+            break
+        if use_masks:
+            parent_masks = [masks[i] for i in kept.tolist()]
+            masks = []
+            for mask, start in zip(parent_masks, (frontier.last + 1).tolist()):
+                for index in range(start, lattice.d):
+                    masks.extend(oracle.restrict_children(mask, index))
+        frontier = lattice.children(frontier)
 
     stats.seconds = watch.elapsed()
     return MupResult(tuple(mups), threshold, stats, max_level)

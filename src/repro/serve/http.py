@@ -101,6 +101,10 @@ class HttpServer:
             length = int(headers.get("content-length", "0"))
         except ValueError:
             raise ServeError("bad_request", "bad Content-Length header")
+        if length < 0:
+            raise ServeError(
+                "bad_request", f"negative Content-Length {length}"
+            )
         if length > MAX_BODY_BYTES:
             raise ServeError(
                 "payload_too_large",

@@ -45,11 +45,12 @@ from repro.serve.config import ServeConfig
 from repro.serve.registry import EngineRegistry, Snapshot
 
 
-def _parse_pattern(value: Any, d: int) -> Pattern:
+def _parse_pattern(value: Any, space: PatternSpace) -> Pattern:
     """A wire pattern: compact string (``"1XX0"``) or value list.
 
     Lists use ``null`` (JSON) / ``None`` for the wildcard, supporting
-    cardinalities past 10 where the compact form is ambiguous.
+    cardinalities past 10 where the compact form is ambiguous.  Every
+    deterministic value must lie inside the dataset's schema.
     """
     try:
         if isinstance(value, str):
@@ -62,16 +63,11 @@ def _parse_pattern(value: Any, d: int) -> Pattern:
                 f"pattern must be a compact string or a value list, "
                 f"got {value!r}",
             )
-    except ReproError as error:
+        return space.validate(pattern)
+    except (ReproError, TypeError, ValueError) as error:
         if isinstance(error, ServeError):
             raise
         raise ServeError("bad_pattern", str(error)) from error
-    if len(pattern) != d:
-        raise ServeError(
-            "bad_pattern",
-            f"pattern {value!r} has {len(pattern)} elements; dataset has {d}",
-        )
-    return pattern
 
 
 def _pattern_values(pattern: Pattern) -> List[Optional[int]]:
@@ -192,7 +188,8 @@ class CoverageService:
             raise ServeError(
                 "bad_request", "patterns must be a non-empty list"
             )
-        parsed = [_parse_pattern(p, snapshot.dataset.d) for p in patterns]
+        space = PatternSpace.for_dataset(snapshot.dataset)
+        parsed = [_parse_pattern(p, space) for p in patterns]
         if len(parsed) == 1:  # point queries skip the gather machinery
             counts = [await self._cached_coverage(snapshot, parsed[0])]
         else:
@@ -640,6 +637,10 @@ class CoverageService:
         entry = self.registry.get(dataset_key)
         if not isinstance(rows, (list, tuple)) or not rows:
             raise ServeError("bad_request", "rows must be a non-empty list")
+        try:  # reject rows outside the schema before any index work
+            Dataset(entry.snapshot.dataset.schema, rows)
+        except (ReproError, TypeError, ValueError, OverflowError) as error:
+            raise ServeError("bad_request", f"bad rows payload: {error}")
         old_fingerprint = entry.snapshot.fingerprint
         loop = asyncio.get_running_loop()
         async with self.admission.heavy():

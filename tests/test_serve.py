@@ -9,6 +9,7 @@ end-to-end pass over a real socket via :class:`BackgroundServer`.
 import asyncio
 import http.client
 import json
+import socket
 import threading
 
 import pytest
@@ -942,6 +943,65 @@ class TestHttpEndToEnd:
 
             status, body = http_call(server, "GET", "/label")
             assert status == 405 and body["code"] == "method_not_allowed"
+
+    def test_negative_content_length_is_a_structured_400(self):
+        # readexactly(-5) used to raise out of the connection handler, so
+        # the client saw the socket close with no response at all.
+        with BackgroundServer(service_config()) as server:
+            with socket.create_connection(
+                (server.host, server.port), timeout=30
+            ) as raw:
+                raw.sendall(
+                    b"POST /label HTTP/1.1\r\nHost: test\r\n"
+                    b"Content-Length: -5\r\n\r\n"
+                )
+                response = b""
+                while chunk := raw.recv(65536):
+                    response += chunk
+            head, _, body = response.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 ")
+            assert json.loads(body)["code"] == "bad_request"
+            # The server keeps serving other connections.
+            assert http_call(server, "GET", "/healthz")[0] == 200
+
+    def test_out_of_schema_label_pattern_is_bad_pattern(self, example1_dataset):
+        with BackgroundServer(service_config()) as server:
+            _, reg = http_call(
+                server, "POST", "/datasets",
+                {"rows": example1_dataset.rows.tolist()},
+            )
+            key = reg["dataset"]
+            for pattern in ("2XX", [None, None, 7], [-3, None, None]):
+                status, body = http_call(
+                    server, "POST", "/label",
+                    {"dataset": key, "patterns": ["XXX", pattern]},
+                )
+                assert status == 400, (pattern, body)
+                assert body["code"] == "bad_pattern"
+            status, body = http_call(
+                server, "POST", "/label",
+                {"dataset": key, "patterns": [[1, "a", None]]},
+            )
+            assert status == 400 and body["code"] == "bad_pattern"
+
+    def test_out_of_schema_delivery_is_bad_request(self, example1_dataset):
+        rows = example1_dataset.rows.tolist()
+        with BackgroundServer(service_config()) as server:
+            _, reg = http_call(server, "POST", "/datasets", {"rows": rows})
+            key = reg["dataset"]
+            for bad_rows in ([[0, 2, 0]], [[0, 0, -1]], [[0, 0]], [[0, "a", 1]]):
+                status, body = http_call(
+                    server, "POST", "/deliver",
+                    {"dataset": key, "rows": bad_rows, "threshold": 1},
+                )
+                assert status == 400, (bad_rows, body)
+                assert body["code"] == "bad_request"
+            # Nothing was appended; a valid delivery still lands.
+            status, deliver = http_call(
+                server, "POST", "/deliver",
+                {"dataset": key, "rows": [[1, 1, 1]], "threshold": 1},
+            )
+            assert status == 200 and deliver["rows_total"] == len(rows) + 1
 
     def test_concurrent_clients_with_deliveries(self):
         dataset = make_random_dataset(23, n=100)
